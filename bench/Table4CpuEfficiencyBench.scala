@@ -7,9 +7,12 @@ import repro.SparkSpec
   * Graspan-lite, BigDatalog-lite, Souffle-lite, and RecStep on the eight
   * representative workloads, printed next to the paper's values.
   *
-  * The paper's headline shape asserted here: RecStep has the highest CPU
-  * efficiency on every workload except CSDA (where Souffle wins — the
-  * per-iteration overhead regime) — see §6.3.
+  * The paper's headline shape (§6.3) is that RecStep has the highest CPU
+  * efficiency on every workload except CSDA, where Souffle wins in the
+  * per-iteration overhead regime. This suite does not assert that shape: it
+  * prints the table for comparison and fails only if an engine crashes (an
+  * ERROR cell) on a workload the paper ran it on; timeouts and OOMs are
+  * printed, not failed.
   */
 class Table4CpuEfficiencyBench extends SparkSpec {
   implicit def s: SparkSession = spark

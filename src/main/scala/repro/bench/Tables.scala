@@ -32,11 +32,13 @@ object Tables {
   }
 
   def recstep: DatalogEngine = new RecStepEngine(RecStepConf.default)
-  def engines: Seq[() => DatalogEngine] = Seq(
-    () => new GraspanLite(),
-    () => new BigDatalogLite(),
-    () => new SouffleLite(),
-    () => recstep,
+
+  /** The engines Tables 1 and 4 compare, under the paper's column names. */
+  val comparedEngines: Seq[(String, () => DatalogEngine)] = Seq(
+    "Graspan" -> (() => new GraspanLite()),
+    "BigDatalog" -> (() => new BigDatalogLite()),
+    "Souffle" -> (() => new SouffleLite()),
+    "RecStep" -> (() => recstep),
   )
 
   // =========================================================== Table 1 ===
@@ -49,14 +51,8 @@ object Tables {
     */
   def table1(quick: Boolean = false)(implicit spark: SparkSession): String = {
     warmJvm()
-    val names = Seq("Graspan", "BigDatalog", "Souffle", "RecStep", "BDDBDDB")
-    val all: Seq[(String, () => DatalogEngine)] = Seq(
-      "Graspan" -> (() => new GraspanLite()),
-      "BigDatalog" -> (() => new BigDatalogLite()),
-      "Souffle" -> (() => new SouffleLite()),
-      "RecStep" -> (() => recstep),
-      "BDDBDDB" -> (() => new BddEngine()),
-    )
+    val all = comparedEngines :+ ("BDDBDDB" -> (() => new BddEngine()))
+    val names = all.map(_._1)
 
     def probe(mk: () => DatalogEngine, w: Workload): Boolean =
       Harness.run(mk(), w, timeoutSec = 120).status match {
@@ -178,19 +174,13 @@ object Tables {
   def table4(quick: Boolean = false)(implicit spark: SparkSession): String = {
     warmJvm()
     val ws = if (quick) quickTable4 else Workloads.table4
-    val mkEngines: Seq[(String, () => DatalogEngine)] = Seq(
-      "Graspan" -> (() => new GraspanLite()),
-      "BigDatalog" -> (() => new BigDatalogLite()),
-      "Souffle" -> (() => new SouffleLite()),
-      "RecStep" -> (() => recstep),
-    )
     val sb = new StringBuilder
     sb.append(s"\n=== Table 4: CPU efficiency ce = 1/(t*cores), cores=$cores ===\n")
-    val hdr = f"${"workload"}%-22s${"row"}%-10s" + mkEngines.map(e => f"${e._1}%14s").mkString
+    val hdr = f"${"workload"}%-22s${"row"}%-10s" + comparedEngines.map(e => f"${e._1}%14s").mkString
     sb.append(hdr + "\n")
     for (w <- ws) {
       val key = w.name.takeWhile(_ != '(')
-      val cells = mkEngines.map { case (name, mk) =>
+      val cells = comparedEngines.map { case (name, mk) =>
         val st: Option[Status] =
           if (!table4Mask.getOrElse(key, Set.empty).contains(name)) None
           else Some(Harness.run(mk(), w,

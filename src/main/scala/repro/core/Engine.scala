@@ -19,6 +19,13 @@ final case class EngineCapabilities(
 final case class UnsupportedProgramException(engine: String, reason: String)
     extends RuntimeException(s"$engine: $reason")
 
+/** Thrown by an engine when a recursive stratum still derives new tuples
+  * after its iteration cap: the relations it holds are not a fixpoint.
+  */
+final case class NonConvergenceException(engine: String, preds: Seq[String], iterations: Int)
+    extends RuntimeException(
+      s"$engine: stratum {${preds.mkString(", ")}} did not converge within $iterations iterations")
+
 /** Common engine interface. All relations are DataFrames with LongType
   * columns named c0..c{arity-1}; `evaluate` returns every IDB relation.
   */

@@ -26,6 +26,13 @@ object DsdMode {
 
 /** Configuration of the RecStep engine; every optimization of §5 is
   * independently switchable so the Figure-2 ablation can be reproduced.
+  *
+  * Tuning values that no caller varies are constants of the evaluation
+  * (`repro.core.Evaluation`), not fields: the DSD cost ratio α = 2.0, the
+  * partition budget 64, the broadcast threshold of 1.5M rows, the small-R_δ
+  * threshold of 65,536 rows below which FAST-DEDUP and TPSD are skipped, and
+  * compaction every 24 delta pieces. None of them is a §5 switch, so the
+  * ablation has no arm that varies them.
   */
 final case class RecStepConf(
     /** Unified IDB Evaluation: all subqueries for one IDB in a single plan. */
@@ -44,23 +51,9 @@ final case class RecStepConf(
     pbme: Boolean = false,
     /** PBME is only built when the active domain fits (§5.3). */
     pbmeMaxVertices: Int = 32 * 1024,
-    /** Build/probe cost ratio α for the DSD cost model (Appendix A);
-      * calibrate offline with [[DsdCostModel.calibrate]].
+    /** Hard cap on iterations per stratum; a recursive stratum still
+      * producing tuples at the cap raises [[NonConvergenceException]].
       */
-    alpha: Double = 2.0,
-    /** Shuffle/partition budget (the paper's core count analog). */
-    shufflePartitions: Int = 64,
-    /** Rows below which a relation side is broadcast (hash-build side). */
-    broadcastRows: Long = 1_500_000L,
-    /** Below this R_δ size the specialized machinery (TPSD + its μ-refresh
-      * analyze, CCK hash-table dedup) cannot pay for its own per-query
-      * overhead (appendix C's caveat on OOF's extra queries), so the engine
-      * falls back to the one-shot operators.
-      */
-    smallDeltaRows: Long = 65_536L,
-    /** Compact the growing union-of-deltas plan every this many iterations. */
-    compactEvery: Int = 24,
-    /** Hard cap on iterations (guards non-convergent inputs in tests). */
     maxIterations: Int = 100_000,
 )
 

@@ -17,9 +17,9 @@ import scala.collection.mutable
   * dedup (UNION ALL + separate dedup, §4), set difference (DSD, §5.1), and
   * merge — exactly Algorithm 1 lines 8–13.
   *
-  * Strata whose IDBs carry monotone MIN/MAX heads (CC/SSSP) use the
-  * recursive-aggregation loop: candidates are merged group-wise and the
-  * delta is the set of strictly-improved rows.
+  * Strata whose IDBs carry monotone MIN/MAX heads (CC/SSSP) run the same
+  * loop with a different per-IDB step: candidates are merged group-wise and
+  * the delta is the set of strictly-improved rows.
   *
   * Every §5 optimization is an independent switch on [[RecStepConf]]; see
   * that class and DESIGN.md for the mechanism mapping.
@@ -51,6 +51,34 @@ final class RecStepEngine(conf: RecStepConf = RecStepConf.default) extends Datal
   }
 }
 
+/** Tuning constants of [[Evaluation]]. They are not [[RecStepConf]] fields
+  * because no caller varies them and none is a §5 optimization, so the
+  * Figure-2 ablation has no arm for them.
+  */
+private object Evaluation {
+  /** Build/probe cost ratio α for the DSD cost model (Appendix A);
+    * calibrate offline with [[DsdCostModel.calibrate]].
+    */
+  val Alpha: Double = 2.0
+  /** Shuffle/partition budget (the paper's core count analog). */
+  val ShufflePartitions: Int = 64
+  /** Rows below which a relation side is broadcast (hash-build side). */
+  val BroadcastRows: Long = 1_500_000L
+  /** Below this R_δ size the specialized machinery (TPSD + its μ-refresh
+    * analyze, CCK hash-table dedup) cannot pay for its own per-query
+    * overhead (appendix C's caveat on OOF's extra queries), so the engine
+    * falls back to the one-shot operators.
+    */
+  val SmallDeltaRows: Long = 65_536L
+  /** Compact the growing union-of-deltas plan every this many iterations. */
+  val CompactEvery: Int = 24
+
+  /** One IDB's state after an iteration's step: the pieces whose union is
+    * R, |R|, ΔR and |ΔR|.
+    */
+  final case class Update(pieces: Vector[DataFrame], rows: Long, delta: DataFrame, deltaRows: Long)
+}
+
 private final class Evaluation(
     analysis: Analyzer.Analysis,
     edbInput: Map[String, DataFrame],
@@ -58,6 +86,7 @@ private final class Evaluation(
     spark: SparkSession,
 ) {
   import Analyzer.{Stratum, AggSignature}
+  import Evaluation._
 
   /** State of one relation: checkpointed delta pieces whose union is the
     * full relation, the exact row count (maintained incrementally — ΔR is
@@ -105,10 +134,7 @@ private final class Evaluation(
       else edbMaxValue = math.max(edbMaxValue, consts.max)
     }
     for (p <- analysis.idbs) rels(p) = new RelState(analysis.arities(p))
-    for (stratum <- analysis.strata) {
-      if (stratum.recursiveAggs.nonEmpty) evalAggStratum(stratum)
-      else evalSetStratum(stratum)
-    }
+    analysis.strata.foreach(evalStratum)
     analysis.idbs.map(p => p -> rels(p).full).toMap
   }
 
@@ -157,7 +183,7 @@ private final class Evaluation(
     * exist from load time) are ever hinted — IDB stats are never refreshed.
     */
   private def hinted(df: DataFrame, rows: Long, isEdb: Boolean): DataFrame =
-    if ((adaptive || isEdb) && rows <= conf.broadcastRows) broadcast(df) else df
+    if ((adaptive || isEdb) && rows <= BroadcastRows) broadcast(df) else df
 
   private def resolveFull(pred: String): DataFrame = {
     val st = rels(pred)
@@ -174,43 +200,48 @@ private final class Evaluation(
 
   private val fullResolver: PlanGenerator.Resolver = (atom, _) => resolveFull(atom.pred)
 
-  // ------------------------------------------------------- set-semantics
+  // ---------------------------------------------------- semi-naïve loop
 
-  private def evalSetStratum(s: Stratum): Unit = {
+  /** Algorithm 1 over one stratum. Every iteration runs one step per IDB —
+    * dedup, set difference and merge ([[evalIdb]]), or the group-wise
+    * MIN/MAX merge ([[aggStep]]) when the stratum's IDBs are recursive
+    * aggregates — and applies the updates only once every step has run, so
+    * all steps of an iteration read the same relations.
+    */
+  private def evalStratum(s: Stratum): Unit = {
+    val step: (String, Seq[DataFrame]) => Update =
+      if (s.recursiveAggs.isEmpty) evalIdb
+      else if (s.preds.forall(s.recursiveAggs.contains))
+        (pred, subqueries) => aggStep(pred, s.recursiveAggs(pred), subqueries)
+      else throw UnsupportedProgramException("RecStep",
+        s"stratum mixes aggregated and plain IDBs: ${s.preds.mkString(", ")}")
     val idbs = s.preds.toSeq.sorted
     var iteration = 0
     var anyDelta = true
     while (anyDelta && iteration < conf.maxIterations) {
       iteration += 1
-      anyDelta = false
       // Snapshot deltas at iteration start (synchronous semi-naïve).
       val snapshot: Map[String, (DataFrame, Long)] =
         idbs.map(p => p -> ((rels(p).delta, rels(p).deltaRows))).toMap
 
-      val newDeltas = for (pred <- idbs) yield {
+      val updates = for (pred <- idbs) yield {
+        val st = rels(pred)
         val subqueries =
           if (iteration == 1) s.rules.filter(_.head.pred == pred).map(r => PlanGenerator.compileRule(r, fullResolver))
           else deltaSubqueries(s, pred, snapshot)
-        pred -> (if (subqueries.isEmpty) None else Some(evalIdb(pred, subqueries)))
+        pred -> (if (subqueries.isEmpty) Update(st.pieces, st.rows, emptyRel(st.arity), 0L) else step(pred, subqueries))
       }
 
-      for ((pred, res) <- newDeltas) {
+      for ((pred, u) <- updates) {
         val st = rels(pred)
-        res match {
-          case None =>
-            st.delta = emptyRel(st.arity); st.deltaRows = 0
-          case Some((delta, deltaRows)) =>
-            st.delta = delta; st.deltaRows = deltaRows
-            if (deltaRows > 0) {
-              st.pieces :+= delta
-              st.rows += deltaRows
-              anyDelta = true
-              maybeCompact(st)
-            }
-        }
+        st.pieces = u.pieces; st.rows = u.rows
+        st.delta = u.delta; st.deltaRows = u.deltaRows
+        maybeCompact(st)
       }
-      if (!s.recursive) anyDelta = false
+      anyDelta = s.recursive && updates.exists(_._2.deltaRows > 0)
     }
+    // stopped by the cap while Δ was non-empty: R is not a fixpoint
+    if (anyDelta) throw NonConvergenceException("RecStep", idbs, iteration)
     // leave no stale deltas behind for later strata
     idbs.foreach { p => rels(p).delta = emptyRel(rels(p).arity); rels(p).deltaRows = 0 }
   }
@@ -225,28 +256,32 @@ private final class Evaluation(
       if snapshot(atom.pred)._2 > 0 // empty delta contributes nothing
     } yield PlanGenerator.compileRule(rule, deltaResolver(occ, snapshot))
 
-  /** Lines 8–13 of Algorithm 1 for one IDB: uieval (UNION ALL of subqueries,
-    * a single plan under UIE, separately materialized per-subquery
-    * otherwise), dedup, set difference, merge. Returns (ΔR, |ΔR|).
+  /** uieval: the UNION ALL of one IDB's subqueries — a single plan under
+    * UIE, each subquery separately materialized (one job each) otherwise.
     */
-  private def evalIdb(pred: String, subqueries: Seq[DataFrame]): (DataFrame, Long) = {
+  private def uieval(subqueries: Seq[DataFrame]): DataFrame =
+    if (conf.uie) subqueries.reduce(_ union _)
+    else subqueries.map(materialize).reduce(_ union _)
+
+  /** Lines 8–13 of Algorithm 1 for one IDB: uieval, dedup, set difference,
+    * merge (ΔR becomes a new piece of R).
+    */
+  private def evalIdb(pred: String, subqueries: Seq[DataFrame]): Update = {
     val st = rels(pred)
-    val rt: DataFrame =
-      if (conf.uie) subqueries.reduce(_ union _)
-      else subqueries.map(materialize).reduce(_ union _) // one job per subquery
+    val rt = uieval(subqueries)
 
     // dedup(R_t): the hash-table size estimate is the previous R_δ (OOF's
     // conservative approximation); fixed partitioning under OOF-NA.
     val dedupParts =
       if (adaptive) partsFor(math.max(st.prevRdeltaRows, 1024L))
-      else conf.shufflePartitions
+      else ShufflePartitions
     // SUM/COUNT/AVG head values are not bounded by the active domain, so
     // such relations never take the packed-CK path.
     // Small expected dedups cannot amortize the CCK path's extra exchange
     // (the hash table is sized from OOF's estimate, §5.1) — use the plain
     // aggregate below the threshold. Without stats (OOF-NA) stay generic
     // only when the estimate is unavailable on iteration 1.
-    val bigEnough = !adaptive || math.max(st.prevRdeltaRows, st.deltaRows) >= conf.smallDeltaRows
+    val bigEnough = !adaptive || math.max(st.prevRdeltaRows, st.deltaRows) >= SmallDeltaRows
     val fastOk = bigEnough && conf.fastDedup && !programHasArith && !analysis.program.rules.exists(r =>
       r.head.pred == pred && r.head.terms.exists {
         case HAgg(op, _) => !AggOp.monotone(op)
@@ -264,7 +299,8 @@ private final class Evaluation(
     val delta = setDifference(st, rDeltaMat, rDeltaRows)
     val deltaMat = materialize(
       if (adaptive) delta.coalesce(partsFor(rDeltaRows)) else delta)
-    (deltaMat, deltaMat.count())
+    val deltaRows = deltaMat.count()
+    Update(if (deltaRows > 0) st.pieces :+ deltaMat else st.pieces, st.rows + deltaRows, deltaMat, deltaRows)
   }
 
   private def setDifference(st: RelState, rDelta: DataFrame, rDeltaRows: Long): DataFrame = {
@@ -277,12 +313,12 @@ private final class Evaluation(
         if (!adaptive) false // OOF-NA: no fresh stats to drive the model
         // tiny R_δ: either translation finishes instantly, but TPSD's extra
         // query + μ-refresh analyze would dominate — keep the one-shot plan
-        else if (rDeltaRows < conf.smallDeltaRows) false
-        else SetDifference.decide(st.rows, rDeltaRows, conf.alpha, st.mu).useTpsd
+        else if (rDeltaRows < SmallDeltaRows) false
+        else SetDifference.decide(st.rows, rDeltaRows, Alpha, st.mu).useTpsd
     }
-    if (!useTpsd) SetDifference.opsd(rDelta, st.full, st.rows, conf.broadcastRows)
+    if (!useTpsd) SetDifference.opsd(rDelta, st.full, st.rows, BroadcastRows)
     else {
-      val (delta, inter) = SetDifference.tpsd(rDelta, st.full, st.rows, rDeltaRows, conf.broadcastRows)
+      val (delta, inter) = SetDifference.tpsd(rDelta, st.full, st.rows, rDeltaRows, BroadcastRows)
       if (adaptive) {
         val interRows = math.max(1L, inter.count()) // analyze(r) to refresh μ
         st.mu = rDeltaRows.toDouble / interRows
@@ -303,75 +339,31 @@ private final class Evaluation(
     }
 
   private def partsFor(rows: Long): Int =
-    math.max(1, math.min(conf.shufflePartitions, (rows / 100_000L).toInt + 1))
+    math.max(1, math.min(ShufflePartitions, (rows / 100_000L).toInt + 1))
 
-  /** Compact the union-of-deltas once it grows past the configured width so
+  /** Compact the union-of-deltas once it reaches [[CompactEvery]] pieces so
     * plan size stays bounded across hundreds of iterations.
     */
   private def maybeCompact(st: RelState): Unit =
-    if (st.pieces.size >= conf.compactEvery) {
+    if (st.pieces.size >= CompactEvery) {
       st.pieces = Vector(materialize(st.full))
     }
 
-  // -------------------------------------------- recursive MIN/MAX strata
-
-  private def evalAggStratum(s: Stratum): Unit = {
-    if (!s.preds.forall(s.recursiveAggs.contains))
-      throw UnsupportedProgramException("RecStep",
-        s"stratum mixes aggregated and plain IDBs: ${s.preds.mkString(", ")}")
-    val idbs = s.preds.toSeq.sorted
-    var iteration = 0
-    var anyDelta = true
-    while (anyDelta && iteration < conf.maxIterations) {
-      iteration += 1
-      anyDelta = false
-      val snapshot: Map[String, (DataFrame, Long)] =
-        idbs.map(p => p -> ((rels(p).delta, rels(p).deltaRows))).toMap
-
-      val updates = for (pred <- idbs) yield {
-        val sig = s.recursiveAggs(pred)
-        val subqueries =
-          if (iteration == 1)
-            s.rules.filter(_.head.pred == pred).map(r => PlanGenerator.compileRule(r, fullResolver))
-          else deltaSubqueries(s, pred, snapshot)
-        pred -> (if (subqueries.isEmpty) None else Some(aggStep(pred, sig, subqueries)))
-      }
-
-      for ((pred, upd) <- updates) {
-        val st = rels(pred)
-        upd match {
-          case None =>
-            st.delta = emptyRel(st.arity); st.deltaRows = 0
-          case Some((merged, mergedRows, delta, deltaRows)) =>
-            st.delta = delta; st.deltaRows = deltaRows
-            if (deltaRows > 0) anyDelta = true
-            st.pieces = Vector(merged)
-            st.rows = mergedRows
-        }
-      }
-      if (!s.recursive) anyDelta = false
-    }
-    idbs.foreach { p => rels(p).delta = emptyRel(rels(p).arity); rels(p).deltaRows = 0 }
-  }
+  // ------------------------------------------------ recursive MIN/MAX
 
   /** Candidates (already per-rule aggregated by the plan generator) are
     * merged group-wise with the current relation; Δ = strictly-improved rows.
     */
-  private def aggStep(
-      pred: String, sig: AggSignature, subqueries: Seq[DataFrame],
-  ): (DataFrame, Long, DataFrame, Long) = {
+  private def aggStep(pred: String, sig: AggSignature, subqueries: Seq[DataFrame]): Update = {
     val st = rels(pred)
-    val cand: DataFrame =
-      if (conf.uie) subqueries.reduce(_ union _)
-      else subqueries.map(materialize).reduce(_ union _)
-
+    val cand = uieval(subqueries)
     val merged = materialize(mergeAgg(st.full.union(cand), sig))
     val mergedRows = merged.count()
     // improved rows: in merged but not in old R (keys are unique per side,
     // so an all-column anti-join captures both new keys and better values).
     val delta = materialize(
-      SetDifference.opsd(merged, st.full, st.rows, conf.broadcastRows))
-    (merged, mergedRows, delta, delta.count())
+      SetDifference.opsd(merged, st.full, st.rows, BroadcastRows))
+    Update(Vector(merged), mergedRows, delta, delta.count())
   }
 
   private def exprLits(e: Expr): Seq[Long] = e match {

@@ -196,17 +196,40 @@ class RecStepEngineSpec extends SparkSpec {
     assert(ex.getMessage.contains("arc"))
   }
 
+  test("SSSP around a negative cycle raises NonConvergenceException at the cap") {
+    // The distances of 1 and 2 fall by 2 on every trip round the cycle, so
+    // every iteration has a non-empty Δ and no fixpoint exists.
+    val edb = Map(
+      "arc" -> Set(Vector(1L, 2L, 1L), Vector(2L, 1L, -3L)),
+      "id" -> Set(Vector(1L)))
+    val ex = intercept[NonConvergenceException](
+      run(engine(relConf.copy(maxIterations = 50)), Programs.sssp, edb))
+    assert(ex.preds == Seq("sssp2") && ex.iterations == 50)
+  }
+
+  test("a recursive stratum mixing a MIN IDB and a plain IDB is rejected") {
+    // The analyzer accepts d (MIN) and p (plain) in one SCC; the engine has
+    // no per-IDB step that covers both semantics.
+    val program = Parser.parse(
+      "d(x, MIN(z)) :- e(x, z). d(y, MIN(z)) :- p(x, z), e(x, y). p(x, z) :- d(x, z).")
+    val ex = intercept[UnsupportedProgramException](
+      engine().evaluate(program, Map("e" -> edgesDF(spark, Seq((1L, 2L), (2L, 3L))))))
+    assert(ex.reason.contains("mixes aggregated and plain"))
+  }
+
   test("capabilities cover the full language") {
     val c = engine().capabilities
     assert(c.mutualRecursion && c.nonRecursiveAggregation && c.recursiveAggregation && c.negation)
   }
 
   test("deep chain exercises many iterations and compaction") {
-    val conf = relConf.copy(compactEvery = 5)
+    // null gains one tuple per iteration along the 40-vertex chain: 39
+    // non-empty iterations, so its delta pieces are compacted once they
+    // reach the engine's constant of 24.
     val edb = Map(
       "arc" -> edgesToTuples(GraphData.chain(40).toSet),
       "nullEdge" -> Set(Vector(1L, 2L)))
-    val got = run(engine(conf), Programs.csda, edb)
+    val got = run(engine(), Programs.csda, edb)
     val expected = reference(Programs.csda, edb)
     assert(got("null") == expected("null"))
   }
