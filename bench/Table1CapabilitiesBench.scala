@@ -12,7 +12,7 @@ class Table1CapabilitiesBench extends SparkSpec {
 
   test("Table 1: capability matrix matches the paper") {
     val report = Tables.table1(quick = sys.env.contains("BENCH_QUICK"))
-    // every probed cell must match the paper's claim (no '!' markers)
-    assert(!report.contains("!"), "a probed capability diverged from the paper's Table 1")
+    val diverged = Tables.capabilityMismatches(report)
+    assert(diverged.isEmpty, s"a probed capability diverged from the paper's Table 1: $diverged")
   }
 }

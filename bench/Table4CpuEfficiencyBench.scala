@@ -10,8 +10,8 @@ import repro.SparkSpec
   * The paper's headline shape (§6.3) is that RecStep has the highest CPU
   * efficiency on every workload except CSDA, where Souffle wins in the
   * per-iteration overhead regime. This suite does not assert that shape: it
-  * prints the table for comparison and fails only if an engine crashes (an
-  * ERROR cell) on a workload the paper ran it on; timeouts and OOMs are
+  * prints the table for comparison and fails only if an engine crashes or
+  * does not converge on a workload the paper ran it on; timeouts and OOMs are
   * printed, not failed.
   */
 class Table4CpuEfficiencyBench extends SparkSpec {
@@ -19,6 +19,6 @@ class Table4CpuEfficiencyBench extends SparkSpec {
 
   test("Table 4: CPU efficiency, measured vs paper") {
     val report = Tables.table4(quick = sys.env.contains("BENCH_QUICK"))
-    assert(!report.contains("ERROR"), "an engine crashed on a supported workload")
+    assert(report.crashed.isEmpty, s"an engine crashed or did not converge on a cell the paper ran: ${report.crashed}")
   }
 }

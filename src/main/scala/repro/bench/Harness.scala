@@ -1,8 +1,8 @@
 package repro.bench
 
-import java.util.concurrent.{Executors, TimeUnit, TimeoutException}
+import java.util.concurrent.{ExecutionException, FutureTask, TimeUnit, TimeoutException}
 import org.apache.spark.sql.SparkSession
-import repro.core.{DatalogEngine, UnsupportedProgramException}
+import repro.core.{DatalogEngine, NonConvergenceException, UnsupportedProgramException}
 import repro.bench.Workloads.Workload
 
 /** Benchmark harness: runs (engine, workload) pairs with a wall-clock
@@ -12,7 +12,7 @@ import repro.bench.Workloads.Workload
   */
 object Harness {
 
-  sealed trait Status { def cell: String }
+  sealed trait Status
   final case class Ok(
       seconds: Double,
       resultSize: Long,
@@ -22,18 +22,18 @@ object Harness {
       /** Peak sampled JVM heap during the run, MB. */
       peakHeapMb: Long = 0L,
   ) extends Status {
-    def cell: String = f"$seconds%9.2fs"
     /** CPU utilization relative to `cores` (Table 1 / Figure 16 analog). */
     def utilization(cores: Int): Double = cpuSeconds / math.max(1e-9, seconds * cores)
   }
-  case object Unsupported extends Status { def cell: String = "        --" }
-  final case class TimedOut(limitSec: Int) extends Status { def cell: String = f"  >${limitSec}%5ds " }
-  final case class Oom(msg: String) extends Status { def cell: String = "       OOM" }
-  final case class Crashed(msg: String) extends Status { def cell: String = "     ERROR" }
+  case object Unsupported extends Status
+  final case class TimedOut(limitSec: Int) extends Status
+  final case class Oom(msg: String) extends Status
+  /** A recursive stratum still derived new tuples at the engine's iteration cap. */
+  final case class NonConverged(iterations: Int) extends Status
+  final case class Crashed(msg: String) extends Status
 
-  final case class Result(engine: String, workload: String, status: Status) {
-    def seconds: Option[Double] = status match { case ok: Ok => Some(ok.seconds); case _ => None }
-  }
+  /** One report cell: `engine` names the column and `workload` the row. */
+  final case class Result(engine: String, workload: String, status: Status)
 
   /** One timed evaluation: evaluate + count every IDB (materialization is
     * part of the measured time, as in the paper's end-to-end numbers).
@@ -64,83 +64,77 @@ object Harness {
     } finally { sampling = false; sampler.interrupt() }
   }
 
-  /** Run with warm-up discarding and a wall-clock timeout; Spark jobs are
-    * cancelled via job groups on timeout.
+  /** One timed run under a wall-clock timeout; Spark jobs are cancelled via
+    * job groups on timeout. Warm-up is the caller's job (`Tables.warmJvm`).
     */
-  def run(
-      engine: DatalogEngine,
-      w: Workload,
-      timeoutSec: Int = 240,
-      measuredRuns: Int = 1,
-      warmups: Int = 0,
-  )(implicit spark: SparkSession): Result = {
+  def run(engine: DatalogEngine, w: Workload, timeoutSec: Int)(implicit spark: SparkSession): Result = {
     val group = s"bench-${engine.name}-${w.name}"
-    val pool = Executors.newSingleThreadExecutor(r => {
-      val t = new Thread(r, group); t.setDaemon(true); t
+    val fut = new FutureTask[Status](() => {
+      spark.sparkContext.setJobGroup(group, group, interruptOnCancel = true)
+      try timedRun(engine, w) finally spark.sparkContext.clearJobGroup()
     })
-    try {
-      def once(): Status = {
-        val task: java.util.concurrent.Callable[Status] = () => {
-          spark.sparkContext.setJobGroup(group, group, interruptOnCancel = true)
-          try timedRun(engine, w) finally spark.sparkContext.clearJobGroup()
-        }
-        val fut = pool.submit(task)
-        try fut.get(timeoutSec.toLong, TimeUnit.SECONDS)
-        catch {
-          case _: TimeoutException =>
-            spark.sparkContext.cancelJobGroup(group)
-            fut.cancel(true)
-            TimedOut(timeoutSec)
-          case e: java.util.concurrent.ExecutionException =>
-            e.getCause match {
-              case u: UnsupportedProgramException => Unsupported
-              case o: OutOfMemoryError            => Oom(o.getMessage)
-              case other                          => Crashed(s"${other.getClass.getSimpleName}: ${other.getMessage}")
-            }
-        }
+    val worker = new Thread(fut, group)
+    worker.setDaemon(true)
+    worker.start()
+    val status =
+      try fut.get(timeoutSec.toLong, TimeUnit.SECONDS)
+      catch {
+        case _: TimeoutException =>
+          spark.sparkContext.cancelJobGroup(group)
+          fut.cancel(true)
+          TimedOut(timeoutSec)
+        case e: ExecutionException =>
+          e.getCause match {
+            case _: UnsupportedProgramException => Unsupported
+            case n: NonConvergenceException     => NonConverged(n.iterations)
+            case o: OutOfMemoryError            => Oom(o.getMessage)
+            case other                          => Crashed(s"${other.getClass.getSimpleName}: ${other.getMessage}")
+          }
       }
-      var status: Status = Ok(0, 0)
-      var i = 0
-      var aborted = false
-      while (i < warmups && !aborted) {
-        status = once()
-        if (!status.isInstanceOf[Ok]) aborted = true
-        i += 1
-      }
-      if (!aborted) {
-        val runs = (0 until math.max(1, measuredRuns)).map(_ => once())
-        val oks = runs.collect { case ok: Ok => ok }
-        status =
-          if (oks.size == runs.size)
-            Ok(oks.map(_.seconds).sum / oks.size, oks.head.resultSize,
-               oks.map(_.cpuSeconds).sum / oks.size, oks.map(_.peakHeapMb).max)
-          else runs.find(!_.isInstanceOf[Ok]).get
-      }
-      Result(engine.name, w.name, status)
-    } finally pool.shutdownNow()
+    Result(engine.name, w.name, status)
   }
 
-  // ------------------------------------------------------------ reporting
+  /** A paper-table report: the results it was built from, and their markdown
+    * rendering. Bench suites assert on `results`, never on `text`.
+    */
+  final case class Report(results: Seq[Result], text: String) {
+    /** Cells where the engine failed: it crashed or did not converge. */
+    def crashed: Seq[Result] =
+      results.filter(_.status match { case _: Crashed | _: NonConverged => true; case _ => false })
 
-  /** Fixed-width matrix printer: rows = workloads, columns = engines. */
-  def printMatrix(
-      title: String,
-      engines: Seq[String],
-      rows: Seq[(String, Map[String, Status])],
-      out: StringBuilder = new StringBuilder,
-  ): String = {
-    val w0 = math.max(18, rows.map(_._1.length).maxOption.getOrElse(10) + 2)
-    out.append(s"\n=== $title ===\n")
-    out.append(" " * w0 + engines.map(e => f"$e%12s").mkString + "\n")
-    rows.foreach { case (name, cells) =>
-      out.append(name.padTo(w0, ' '))
-      engines.foreach { e =>
-        out.append(f"${cells.get(e).map(_.cell).getOrElse("          ")}%12s")
-      }
-      out.append("\n")
+    /** Cells without a fixpoint for any reason but an unsupported fragment. */
+    def incomplete: Seq[Result] =
+      results.filter(_.status match { case _: Ok | Unsupported => false; case _ => true })
+  }
+
+  object Report {
+    def status(st: Status, ok: Ok => String = o => f"${o.seconds}%.2f s"): String = st match {
+      case o: Ok           => ok(o)
+      case Unsupported     => "--"
+      case TimedOut(sec)   => s">${sec}s"
+      case Oom(_)          => "OOM"
+      case NonConverged(n) => s"no fixpoint after $n iterations"
+      case Crashed(_)      => "ERROR"
     }
-    val s = out.toString
-    println(s)
-    s
+
+    /** Markdown table with one row per workload and one column per engine, in
+      * first-seen order. A cell shows its status (via `show`) and the paper's
+      * value in brackets; a cell with neither is "-".
+      */
+    def markdown(
+        title: String,
+        results: Seq[Result],
+        paper: (String, String) => Option[String] = (_, _) => None,
+        show: Status => String = status(_),
+    ): String = {
+      val rows = results.map(_.workload).distinct
+      val cols = results.map(_.engine).distinct
+      val byCell = results.map(r => (r.workload, r.engine) -> r.status).toMap
+      def cell(row: String, col: String): String =
+        (byCell.get((row, col)).map(show) ++ paper(row, col).map(p => s"[$p]")).mkString(" ")
+      val lines = s"| | ${cols.mkString(" | ")} |" +: s"|---${"|---" * cols.size}|" +:
+        rows.map(row => s"| $row | ${cols.map(c => Some(cell(row, c)).filter(_.nonEmpty).getOrElse("-")).mkString(" | ")} |")
+      s"\n### $title\n\n${lines.mkString("\n")}\n"
+    }
   }
 }

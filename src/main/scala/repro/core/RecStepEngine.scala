@@ -141,7 +141,9 @@ private final class Evaluation(
   // -------------------------------------------------------------- loading
 
   private def loadEdbs(): Unit = {
-    if (!conf.eost) {
+    // EOST-off commits need a reliable checkpoint directory; keep the one the
+    // caller (or an earlier evaluation) set.
+    if (!conf.eost && spark.sparkContext.getCheckpointDir.isEmpty) {
       val dir = java.nio.file.Files.createTempDirectory("recstep-ckpt").toString
       spark.sparkContext.setCheckpointDir(dir)
     }

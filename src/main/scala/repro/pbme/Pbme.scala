@@ -1,6 +1,6 @@
 package repro.pbme
 
-import java.util.concurrent.{Executors, TimeUnit}
+import java.util.concurrent.{ExecutorService, Executors}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import org.apache.spark.sql.Row
@@ -22,6 +22,17 @@ import scala.collection.mutable
   */
 object Pbme {
 
+  /** Worker pool for one kernel call. The caller shuts it down with
+    * `shutdownNow()`, whose interrupt the workers poll, so a cancelled
+    * kernel stops burning CPU within one row (TC) or 4096 pairs (SG).
+    */
+  private def workers(threads: Int): ExecutorService =
+    Executors.newFixedThreadPool(threads, r => {
+      val t = new Thread(r, "pbme-worker"); t.setDaemon(true); t
+    })
+
+  private def interrupted(): Nothing = throw new RuntimeException(new InterruptedException("PBME kernel interrupted"))
+
   /** Transitive closure of `arcs` over vertices {1..n}. */
   def tc(arcs: Seq[(Long, Long)], n: Int, threads: Int = Runtime.getRuntime.availableProcessors()): BitMatrix = {
     val mArc = new BitMatrix(n)
@@ -29,13 +40,14 @@ object Pbme {
     val mTc = new BitMatrix(n)
     (1 to n).foreach(i => mTc.orRow(i, mArc.row(i))) // M_tc <- M_arc
 
-    val pool = Executors.newFixedThreadPool(threads)
+    val pool = workers(threads)
     try {
       val tasks = (0 until threads).map { p =>
         pool.submit(new Runnable {
           override def run(): Unit = {
             var i = p + 1
             while (i <= n) { // round-robin row partitioning
+              if (Thread.currentThread().isInterrupted) interrupted()
               var delta = new mutable.ArrayDeque[Int]()
               mTc.foreachInRow(i)(delta.append(_))
               while (delta.nonEmpty) {
@@ -54,7 +66,7 @@ object Pbme {
         })
       }
       tasks.foreach(_.get())
-    } finally { pool.shutdown(); pool.awaitTermination(1, TimeUnit.MINUTES); () }
+    } finally { pool.shutdownNow(); () }
     mTc
   }
 
@@ -83,7 +95,7 @@ object Pbme {
       p += 1
     }
 
-    val pool = Executors.newFixedThreadPool(threads)
+    val pool = workers(threads)
     try {
       val tasks = (0 until threads).map { t =>
         pool.submit(new Runnable {
@@ -93,7 +105,10 @@ object Pbme {
             val work = new mutable.ArrayDeque[(Int, Int)]()
             var s = t
             while (s < seeds.length) { work.append(seeds(s)); s += threads }
+            var done = 0
             while (work.nonEmpty) {
+              done += 1
+              if ((done & 0xFFF) == 0 && Thread.currentThread().isInterrupted) interrupted()
               val (a, b) = work.removeHead()
               val qs = vArc(a)
               val ps = vArc(b)
@@ -114,7 +129,7 @@ object Pbme {
         })
       }
       tasks.foreach(_.get())
-    } finally { pool.shutdown(); pool.awaitTermination(1, TimeUnit.MINUTES); () }
+    } finally { pool.shutdownNow(); () }
     mSg
   }
 

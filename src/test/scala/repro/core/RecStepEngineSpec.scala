@@ -65,6 +65,18 @@ class RecStepEngineSpec extends SparkSpec {
     }
   }
 
+  test("EOST-off evaluations keep the checkpoint directory the caller set") {
+    val sc = spark.sparkContext
+    sc.setCheckpointDir(java.nio.file.Files.createTempDirectory("caller-ckpt").toString)
+    val callerDir = sc.getCheckpointDir
+    val edb = Map("arc" -> edgesToTuples(edges1))
+    val expected = reference(Programs.tc, edb)("tc")
+    for (_ <- 1 to 2) {
+      assert(run(engine(relConf.copy(eost = false)), Programs.tc, edb)("tc") == expected)
+      assert(sc.getCheckpointDir == callerDir)
+    }
+  }
+
   // ---------------------------------------------------------------- SG
 
   test("SG matches the DuckDB recursive-CTE oracle") {

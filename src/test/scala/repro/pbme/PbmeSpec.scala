@@ -6,6 +6,7 @@ import repro.TestUtil._
 import repro.datalog.{Analyzer, Parser}
 import repro.programs.Programs
 import repro.ref.NaiveEvaluator
+import scala.jdk.CollectionConverters._
 
 class PbmeSpec extends SparkSpec {
   implicit def s: SparkSession = spark
@@ -159,5 +160,32 @@ class PbmeSpec extends SparkSpec {
     val arc = edgesDF(spark, Seq((0L, 3L)))
     val shape = PbmeMatcher.TcShape("tc", "arc")
     assert(Pbme.tryEvaluate(shape, Map("arc" -> arc), maxVertices = 100).isEmpty)
+  }
+
+  // --------------------------------------------------------- cancellation
+
+  test("an interrupted PBME kernel returns within 2 s and leaves no pbme-* thread") {
+    def workers = Thread.getAllStackTraces.keySet.asScala.filter(t => t.getName.startsWith("pbme-") && t.isAlive)
+    // Each kernel runs for several seconds uninterrupted on these graphs.
+    val tcEdges = TestUtil.randomEdges(6000, 60000, 3).toVector
+    val sgEdges = TestUtil.randomEdges(3000, 60000, 3).toVector
+    val kernels = Seq[(String, () => Unit)](
+      "TC" -> (() => { Pbme.tc(tcEdges, 6000); () }),
+      "SG" -> (() => { Pbme.sg(sgEdges, 3000); () }))
+    for ((name, kernel) <- kernels) {
+      @volatile var thrown: Option[Throwable] = None
+      val caller = new Thread(() => try kernel() catch { case e: Throwable => thrown = Some(e) })
+      caller.start()
+      while (workers.isEmpty && caller.isAlive) Thread.sleep(5)
+      Thread.sleep(200)
+      assert(caller.isAlive, s"$name finished before it could be interrupted")
+      val t0 = System.nanoTime()
+      caller.interrupt()
+      caller.join(2000)
+      while (workers.nonEmpty && System.nanoTime() - t0 < 2e9) Thread.sleep(5)
+      assert(!caller.isAlive, s"$name kept running after the interrupt")
+      assert(workers.isEmpty, s"$name left ${workers.map(_.getName)} running")
+      assert(thrown.exists(_.isInstanceOf[InterruptedException]), s"$name ended with $thrown")
+    }
   }
 }
